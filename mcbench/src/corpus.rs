@@ -2,7 +2,8 @@
 //! file's header delivery, run the way `mcapi-smc check <file> --engine E
 //! --budget-ms 1000` runs them. Each check runs in a child worker under a
 //! memory cap; a check that aborts or outlives the limit plus a fixed
-//! slack is a failed operation and the worker restarts for the next one.
+//! slack answers `failed` (not ok) and the worker restarts for the next
+//! one.
 
 use crate::gate::{Answer, Check, Known};
 use crate::probe::{probe, timed, EngineSetup, Layers};
@@ -23,8 +24,10 @@ use symbolic::paths::PathsConfig;
 
 /// The per-check limit handed to the engines as `--budget-ms`.
 pub const LIMIT_MS: u64 = 1000;
-/// How far past the limit a check may run before it is killed.
-const SLACK_MS: u64 = 500;
+/// How far past the limit a check may run before it is killed. The two
+/// `loop-storm` checks that never answer wait it out in every pass, so
+/// it is kept short: a longer wait only buys fewer passes in a run.
+const SLACK_MS: u64 = 100;
 /// Address-space cap of a worker process, KiB.
 const MEMORY_CAP_KB: u64 = 1 << 20;
 

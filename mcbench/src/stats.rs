@@ -28,6 +28,12 @@ pub fn mean(samples: &[f64]) -> f64 {
     samples.iter().sum::<f64>() / samples.len() as f64
 }
 
+/// Smallest sample. Panics on an empty slice, like [`quantile`].
+pub fn min(samples: &[f64]) -> f64 {
+    assert!(!samples.is_empty(), "min of no samples");
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 /// The process's peak resident set since the last [`reset_peak_rss`], in
 /// MiB (`VmHWM` from `/proc/self/status`); 0 where procfs is missing.
 pub fn peak_rss_mb() -> f64 {
@@ -74,5 +80,6 @@ mod tests {
         assert_eq!(median(&v), 2.5);
         assert_eq!(quantile(&v, 0.9), 3.7);
         assert_eq!(mean(&v), 2.5);
+        assert_eq!(min(&v), 1.0);
     }
 }

@@ -1,6 +1,7 @@
 //! Smoke test: every workload at scale 1 in both modes prints exactly the
 //! metrics `BENCHMARK.json` declares, with their units, and passes the
-//! verdict gate, including the traced run's verdict equality.
+//! verdict gate, including the traced run's verdict equality, with no
+//! failed check.
 
 use serde_json::Value;
 use std::process::Command;
@@ -72,6 +73,11 @@ fn check_workload(workload: &str, trace: &str, section: &str) {
     let last = stdout.lines().last().expect("a result line");
     let result: Value = serde_json::from_str(last).expect("the last line is JSON");
     assert_eq!(field(&result, "correct"), &Value::Bool(true), "{stdout}");
+    // Checks that only break a limit lower `ok_share`; none is failed.
+    assert!(
+        matches!(field(&result, "failed"), Value::Int(0)),
+        "{stdout}"
+    );
     let metrics = field(&result, "metrics")
         .as_object()
         .expect("metrics object");

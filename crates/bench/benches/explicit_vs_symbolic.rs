@@ -74,7 +74,6 @@ fn explicit_first_violation(c: &mut Criterion) {
             b.iter(|| {
                 let mut cfg = ExploreConfig::with_model(DeliveryModel::Unordered);
                 cfg.stop_at_first_violation = true;
-                cfg.track_matchings = false;
                 let r = GraphExplorer::new(&program, cfg).explore();
                 assert!(r.found_violation());
             })

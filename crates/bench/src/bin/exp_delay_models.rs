@@ -43,7 +43,7 @@ fn main() {
 
     for (name, program) in &workloads {
         for model in DeliveryModel::ALL {
-            let truth = GraphExplorer::new(program, ExploreConfig::with_model(model)).explore();
+            let truth = GraphExplorer::new(program, ExploreConfig::with_matchings(model)).explore();
             let cfg = CheckConfig {
                 delivery: model,
                 matchgen: MatchGen::OverApprox,

@@ -89,8 +89,8 @@ pub struct ScenarioOutcome {
     #[serde(default)]
     pub directed_transitions: u64,
     /// Schedule extensions pruned by the Mazurkiewicz normal-form test
-    /// (`symbolic-paths` and explicit engines; zero when canonical
-    /// exploration is disabled).
+    /// (`symbolic-paths` only; zero when canonical exploration is
+    /// disabled).
     #[serde(default)]
     pub canonical_skipped: u64,
     /// µs spent building encodings (symbolic only).

@@ -59,10 +59,10 @@ pub struct PortfolioConfig {
     /// the scenario verdict to unknown, never to a silent safe.
     pub max_paths: usize,
     /// Explore only the canonical representative of each Mazurkiewicz
-    /// trace class: the directed searches behind `symbolic-paths` and the
-    /// explicit engine's state graph both prune non-canonical schedule
-    /// extensions (see [`mcapi::canon`]). On by default; the CLI's
-    /// `--no-canonical` sweeps every interleaving instead.
+    /// trace class in the directed searches behind `symbolic-paths` (see
+    /// [`mcapi::canon`]). On by default; the CLI's `--no-canonical` sweeps
+    /// every interleaving instead. The explicit engine ignores it: its
+    /// state graph already merges the interleavings of a trace class.
     pub canonical: bool,
     /// Run the static triage pre-pass ([`analysis::analyze_with`]) before
     /// dispatching engines: scenarios whose verdict is statically decided
@@ -254,7 +254,6 @@ fn run_explicit(program: &Program, scenario: &Scenario, cfg: &PortfolioConfig) -
         model: scenario.delivery,
         max_states: cfg.max_states,
         stop_at_first_violation: cfg.mode == Mode::Race,
-        use_canonical: cfg.canonical,
         ..ExploreConfig::default()
     };
     let result = GraphExplorer::new(program, explore_cfg).explore();

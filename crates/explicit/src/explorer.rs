@@ -1,24 +1,31 @@
 //! Breadth-first state-graph exploration with hashing.
 //!
-//! States are [`mcapi::state::SysState`] values, optionally annotated with
-//! the matching history (which receive consumed which message) so that the
+//! By default a node is just the semantic [`mcapi::state::SysState`]: two
+//! schedules that reach the same state merge, which is all a verdict
+//! (violations, deadlocks, complete terminals) needs. The paper baselines
+//! opt into [`ExploreConfig::track_matchings`], which adds the matching
+//! history (which receive consumed which message) to the node so that the
 //! set of distinct complete matchings — the paper's behaviour-coverage
 //! metric (Fig. 4) — can be read off the terminal states. Annotation makes
-//! the reachable graph larger (states that differ only in history stop
-//! merging); turn it off for pure state-count benchmarks.
+//! the reachable graph larger: states that differ only in history stop
+//! merging.
 
 use crate::stats::{ExploreResult, Matching, RecvKey};
 use mcapi::canon::{independent, summarize, ActionSummary};
 use mcapi::program::Program;
-use mcapi::state::{Action, SysState};
+use mcapi::state::{Action, Hashed, StateSet, SysState};
 use mcapi::types::DeliveryModel;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
+use std::rc::Rc;
 
-/// Exploration parameters.
+/// Exploration parameters. The default is the verdict configuration: node
+/// identity is the semantic state alone.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreConfig {
     pub model: DeliveryModel,
-    /// Record complete matchings at terminal states.
+    /// Record complete matchings at terminal states. Puts the matching
+    /// history into node identity; only the behaviour-coverage baselines
+    /// read it.
     pub track_matchings: bool,
     /// Stop after visiting this many states (`truncated` set in the result).
     pub max_states: usize,
@@ -30,9 +37,10 @@ pub struct ExploreConfig {
     /// a function of node content only — the incoming action joins the
     /// node identity — and the lexicographically least word of every trace
     /// class is adjacent-normal at every prefix, so every class keeps a
-    /// surviving linearisation. Off by default: refining node identity
-    /// can cost states on heavily-merging graphs; the portfolio driver
-    /// wires it to its `canonical` switch.
+    /// surviving linearisation. The portfolio and the CLI leave it off: a
+    /// stateful search already merges the interleavings of one trace class
+    /// into one state, so stamping the incoming action into the node only
+    /// splits them again, and on the scale-4 grid it adds states.
     pub use_canonical: bool,
 }
 
@@ -40,7 +48,7 @@ impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             model: DeliveryModel::Unordered,
-            track_matchings: true,
+            track_matchings: false,
             max_states: 1_000_000,
             stop_at_first_violation: false,
             use_canonical: false,
@@ -55,58 +63,69 @@ impl ExploreConfig {
             ..Default::default()
         }
     }
+
+    /// The paper baselines' configuration: `model`, with the complete
+    /// matchings recorded.
+    pub fn with_matchings(model: DeliveryModel) -> Self {
+        ExploreConfig {
+            track_matchings: true,
+            ..Self::with_model(model)
+        }
+    }
 }
 
-/// A search node: system state plus (optional) matching history.
+/// A search node: system state plus the optional annotations. With
+/// matchings untracked and canonical pruning off, every annotation stays
+/// empty and the node is its semantic state.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub(crate) struct Node {
-    pub(crate) sys: SysState,
-    /// Sorted matching history (present only when tracking matchings).
-    pub(crate) matching: Matching,
-    /// Receives completed per thread so far (for RecvKey indices).
-    pub(crate) recv_counts: Vec<u16>,
-    /// The action (and its footprint) that produced this node — part of
-    /// the node identity only under [`ExploreConfig::use_canonical`],
-    /// always `None` otherwise so the default graph is unchanged.
-    pub(crate) last: Option<(Action, ActionSummary)>,
+struct Node {
+    sys: SysState,
+    /// Sorted matching history (tracking matchings only).
+    matching: Matching,
+    /// Receives completed per thread so far, for [`RecvKey`] indices
+    /// (tracking matchings only).
+    recv_counts: Vec<u16>,
+    /// The action (and its footprint) that produced this node
+    /// ([`ExploreConfig::use_canonical`] only).
+    last: Option<(Action, ActionSummary)>,
 }
 
 impl Node {
-    pub(crate) fn initial(program: &Program) -> Node {
+    fn initial(program: &Program, track_matchings: bool) -> Node {
         Node {
             sys: SysState::initial(program),
             matching: Vec::new(),
-            recv_counts: vec![0; program.threads.len()],
+            recv_counts: if track_matchings {
+                vec![0; program.threads.len()]
+            } else {
+                Vec::new()
+            },
             last: None,
         }
     }
 
-    /// Successor node for `action`, updating matching bookkeeping.
-    /// `last` is the `(action, summary)` pair to stamp into the successor
-    /// (canonical mode only; `None` keeps node identity purely semantic).
-    pub(crate) fn successor(
+    /// Successor node for `action`, extending the matching history when
+    /// it is tracked. `last` is stamped into the successor as is.
+    fn successor(
         &self,
         program: &Program,
-        action: mcapi::state::Action,
-        model: DeliveryModel,
-        track_matchings: bool,
+        action: Action,
+        config: &ExploreConfig,
         last: Option<(Action, ActionSummary)>,
     ) -> Node {
-        let (next_sys, _events) = self.sys.apply(program, action, model);
+        let (sys, _events) = self.sys.apply(program, action, config.model);
         let mut next = Node {
-            sys: next_sys,
+            sys,
             matching: self.matching.clone(),
             recv_counts: self.recv_counts.clone(),
             last,
         };
-        if let Some(msg) = action.message() {
+        if let (Some(msg), true) = (action.message(), config.track_matchings) {
             let t = action.thread();
             let key = RecvKey::new(t, next.recv_counts[t] as usize);
             next.recv_counts[t] += 1;
-            if track_matchings {
-                let pos = next.matching.partition_point(|(k, _)| *k < key);
-                next.matching.insert(pos, (key, msg));
-            }
+            let pos = next.matching.partition_point(|(k, _)| *k < key);
+            next.matching.insert(pos, (key, msg));
         }
         next
     }
@@ -126,10 +145,12 @@ impl<'a> GraphExplorer<'a> {
     /// Run the exploration to fixpoint (or a limit).
     pub fn explore(&self) -> ExploreResult {
         let mut result = ExploreResult::default();
-        let init = Node::initial(self.program);
-        let mut visited: HashSet<Node> = HashSet::new();
-        let mut queue: VecDeque<Node> = VecDeque::new();
-        visited.insert(init.clone());
+        // The visited set and the frontier share each node, so a
+        // successor costs one hash and no deep copy, new or not.
+        let init = Rc::new(Node::initial(self.program, self.config.track_matchings));
+        let mut visited: StateSet<Rc<Node>> = StateSet::default();
+        let mut queue: VecDeque<Rc<Node>> = VecDeque::new();
+        visited.insert(Hashed::new(Rc::clone(&init)));
         queue.push_back(init);
 
         // Frontier-generation accounting for tracing: `in_gen` counts
@@ -185,22 +206,16 @@ impl<'a> GraphExplorer<'a> {
                 } else {
                     None
                 };
-                let next = node.successor(
-                    self.program,
-                    action,
-                    self.config.model,
-                    self.config.track_matchings,
-                    last,
-                );
+                let next = node.successor(self.program, action, &self.config, last);
+                result.transitions += 1;
                 if let Some(v) = &next.sys.violation {
                     result.push_violation(v.clone());
                     if self.config.stop_at_first_violation {
-                        result.transitions += 1;
                         return result;
                     }
                 }
-                result.transitions += 1;
-                if visited.insert(next.clone()) {
+                let next = Rc::new(next);
+                if visited.insert(Hashed::new(Rc::clone(&next))) {
                     queue.push_back(next);
                 }
             }
@@ -252,8 +267,8 @@ mod tests {
     #[test]
     fn fig1_unordered_finds_both_pairings() {
         let p = fig1();
-        let r =
-            GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::Unordered)).explore();
+        let r = GraphExplorer::new(&p, ExploreConfig::with_matchings(DeliveryModel::Unordered))
+            .explore();
         assert!(!r.truncated);
         assert_eq!(r.deadlocks, 0);
         assert!(r.violations.is_empty());
@@ -264,8 +279,8 @@ mod tests {
     #[test]
     fn fig1_zero_delay_finds_only_one_pairing() {
         let p = fig1();
-        let r =
-            GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::ZeroDelay)).explore();
+        let r = GraphExplorer::new(&p, ExploreConfig::with_matchings(DeliveryModel::ZeroDelay))
+            .explore();
         // The MCC model misses Fig. 4b.
         assert_eq!(r.matchings.len(), 1, "{}", r.render_matchings());
     }
@@ -275,8 +290,11 @@ mod tests {
         // The racing sends come from different threads, so per-pair FIFO
         // does not restrict the race: both pairings remain.
         let p = fig1();
-        let r = GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::PairwiseFifo))
-            .explore();
+        let r = GraphExplorer::new(
+            &p,
+            ExploreConfig::with_matchings(DeliveryModel::PairwiseFifo),
+        )
+        .explore();
         assert_eq!(r.matchings.len(), 2, "{}", r.render_matchings());
     }
 
@@ -375,12 +393,12 @@ mod tests {
     fn canonical_bfs_preserves_matchings_and_verdicts() {
         let p = fig1();
         for model in DeliveryModel::ALL {
-            let plain = GraphExplorer::new(&p, ExploreConfig::with_model(model)).explore();
+            let plain = GraphExplorer::new(&p, ExploreConfig::with_matchings(model)).explore();
             let canon = GraphExplorer::new(
                 &p,
                 ExploreConfig {
                     use_canonical: true,
-                    ..ExploreConfig::with_model(model)
+                    ..ExploreConfig::with_matchings(model)
                 },
             )
             .explore();
@@ -396,10 +414,11 @@ mod tests {
     #[test]
     fn zero_delay_explores_fewer_or_equal_matchings() {
         let p = fig1();
-        let un =
-            GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::Unordered)).explore();
-        let zd =
-            GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::ZeroDelay)).explore();
+        let un = GraphExplorer::new(&p, ExploreConfig::with_matchings(DeliveryModel::Unordered))
+            .explore();
+        let zd = GraphExplorer::new(&p, ExploreConfig::with_matchings(DeliveryModel::ZeroDelay))
+            .explore();
+        assert!(!un.matchings.is_empty());
         assert!(zd.matchings.is_subset(&un.matchings));
     }
 }

@@ -18,13 +18,21 @@ use mcapi::types::DeliveryModel;
 /// instant in-order delivery. Misses delay-dependent behaviours (the
 /// paper's Fig. 4b).
 pub fn mcc_check(program: &Program) -> ExploreResult {
-    GraphExplorer::new(program, ExploreConfig::with_model(DeliveryModel::ZeroDelay)).explore()
+    GraphExplorer::new(
+        program,
+        ExploreConfig::with_matchings(DeliveryModel::ZeroDelay),
+    )
+    .explore()
 }
 
 /// Exhaustively check `program` under the full arbitrary-delay semantics —
 /// the small-scope ground truth the symbolic encoding is validated against.
 pub fn ground_truth_check(program: &Program) -> ExploreResult {
-    GraphExplorer::new(program, ExploreConfig::with_model(DeliveryModel::Unordered)).explore()
+    GraphExplorer::new(
+        program,
+        ExploreConfig::with_matchings(DeliveryModel::Unordered),
+    )
+    .explore()
 }
 
 #[cfg(test)]

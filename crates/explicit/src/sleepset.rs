@@ -262,7 +262,7 @@ mod tests {
     fn agrees_with_graph_explorer_on_matchings() {
         let p = fig1();
         for model in DeliveryModel::ALL {
-            let graph = GraphExplorer::new(&p, ExploreConfig::with_model(model)).explore();
+            let graph = GraphExplorer::new(&p, ExploreConfig::with_matchings(model)).explore();
             let red = reduced(&p, model);
             assert_eq!(graph.matchings, red.matchings, "model {model}");
         }

@@ -1,11 +1,12 @@
 //! Property tests: all explorers agree with each other on random
-//! programs — the sequential graph search is the reference.
+//! programs — the graph search is the reference.
 
 use explicit::sleepset::SleepConfig;
-use explicit::{ExploreConfig, GraphExplorer, ParallelExplorer, SleepSetExplorer};
+use explicit::{ExploreConfig, ExploreResult, GraphExplorer, SleepSetExplorer};
 use mcapi::builder::ProgramBuilder;
+use mcapi::expr::{Cond, Expr};
 use mcapi::program::Program;
-use mcapi::types::DeliveryModel;
+use mcapi::types::{CmpOp, DeliveryModel};
 use proptest::prelude::*;
 
 /// Random deadlock-free program (sends precede receives per thread).
@@ -36,6 +37,71 @@ fn arb_program() -> impl Strategy<Value = Program> {
         })
 }
 
+/// Random program that may deadlock and may violate: each receive is
+/// placed either after or before its thread's sends, and one thread may
+/// assert that its first message is not a given value.
+fn arb_verdict_program() -> impl Strategy<Value = Program> {
+    (
+        2usize..4,
+        prop::collection::vec((0usize..3, 1i64..6, any::<bool>()), 1..6),
+        (any::<bool>(), 0usize..3, 1i64..6),
+    )
+        .prop_map(|(n, sends, (asserts, at, bad))| {
+            let mut b = ProgramBuilder::new("prop-verdict");
+            let tids: Vec<_> = (0..n).map(|i| b.thread(format!("t{i}"))).collect();
+            // Per thread: receives placed before the sends, sends, and
+            // receives placed after them.
+            let mut early = vec![0usize; n];
+            let mut sends_of = vec![Vec::new(); n];
+            let mut late = vec![0usize; n];
+            for (i, &(to_raw, val, before)) in sends.iter().enumerate() {
+                let from = i % n;
+                let to = if to_raw % n == from {
+                    (from + 1) % n
+                } else {
+                    to_raw % n
+                };
+                sends_of[from].push((to, val));
+                if before {
+                    early[to] += 1
+                } else {
+                    late[to] += 1
+                }
+            }
+            let mut first = vec![None; n];
+            for t in 0..n {
+                for _ in 0..early[t] {
+                    let v = b.recv(tids[t], 0);
+                    first[t].get_or_insert(v);
+                }
+                for &(to, val) in &sends_of[t] {
+                    b.send_const(tids[t], tids[to], 0, val);
+                }
+                for _ in 0..late[t] {
+                    let v = b.recv(tids[t], 0);
+                    first[t].get_or_insert(v);
+                }
+            }
+            if let (true, Some(v)) = (asserts, first[at % n]) {
+                let cond = Cond::cmp(CmpOp::Ne, Expr::Var(v), Expr::Const(bad));
+                b.assert_cond(tids[at % n], cond, "first message differs");
+            }
+            b.build().unwrap()
+        })
+}
+
+/// The verdict-relevant part of an exploration, violations as a set.
+fn verdict(r: &ExploreResult) -> (Vec<String>, bool, bool, bool) {
+    let mut violations: Vec<String> = r.violations.iter().map(|v| v.to_string()).collect();
+    violations.sort();
+    (
+        violations,
+        r.deadlocks > 0,
+        r.complete_terminals > 0,
+        r.truncated,
+    )
+}
+
 fn model_strategy() -> impl Strategy<Value = DeliveryModel> {
     prop_oneof![
         Just(DeliveryModel::Unordered),
@@ -47,18 +113,27 @@ fn model_strategy() -> impl Strategy<Value = DeliveryModel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Parallel BFS finds exactly the sequential reachable set, terminal
-    /// counts, and matchings.
+    /// The verdict configuration (semantic-state identity) reaches the
+    /// same verdict as the matching-tracking configurations, with and
+    /// without canonical pruning, under every delivery model, and visits
+    /// no more states than tracking does. The canonical search can visit
+    /// fewer: it skips zero-delay states that differ only in the global
+    /// send stamps of independent sends, and states that follow a failing
+    /// assertion in the normal form.
     #[test]
-    fn parallel_equals_sequential(p in arb_program(), model in model_strategy(), workers in 1usize..6) {
-        let cfg = ExploreConfig::with_model(model);
-        let seq = GraphExplorer::new(&p, cfg).explore();
-        let par = ParallelExplorer::new(&p, cfg, workers).explore();
-        prop_assert_eq!(seq.states, par.states);
-        prop_assert_eq!(seq.complete_terminals, par.complete_terminals);
-        prop_assert_eq!(seq.deadlocks, par.deadlocks);
-        prop_assert_eq!(&seq.matchings, &par.matchings);
-        prop_assert_eq!(seq.violations.len(), par.violations.len());
+    fn verdict_config_agrees_with_tracking_and_canonical(p in arb_verdict_program()) {
+        for model in DeliveryModel::ALL {
+            let explore = |cfg| GraphExplorer::new(&p, cfg).explore();
+            let plain = explore(ExploreConfig::with_model(model));
+            let tracked = explore(ExploreConfig::with_matchings(model));
+            let canonical = explore(ExploreConfig {
+                use_canonical: true,
+                ..ExploreConfig::with_matchings(model)
+            });
+            prop_assert_eq!(verdict(&plain), verdict(&tracked), "model {}", model);
+            prop_assert_eq!(verdict(&plain), verdict(&canonical), "model {}", model);
+            prop_assert!(plain.states <= tracked.states, "model {}", model);
+        }
     }
 
     /// Sleep-set pruning preserves matchings, violations and deadlock
@@ -84,7 +159,7 @@ proptest! {
     /// Stateless enumeration and graph search agree on matchings.
     #[test]
     fn stateless_equals_graph_on_matchings(p in arb_program(), model in model_strategy()) {
-        let graph = GraphExplorer::new(&p, ExploreConfig::with_model(model)).explore();
+        let graph = GraphExplorer::new(&p, ExploreConfig::with_matchings(model)).explore();
         let sleep = SleepSetExplorer::new(
             &p,
             SleepConfig { model, ..SleepConfig::default() },
@@ -98,7 +173,7 @@ proptest! {
     #[test]
     fn hierarchy_holds_on_random_programs(p in arb_program()) {
         let beh = |model| {
-            GraphExplorer::new(&p, ExploreConfig::with_model(model)).explore().matchings
+            GraphExplorer::new(&p, ExploreConfig::with_matchings(model)).explore().matchings
         };
         let un = beh(DeliveryModel::Unordered);
         let pf = beh(DeliveryModel::PairwiseFifo);

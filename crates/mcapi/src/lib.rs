@@ -65,7 +65,7 @@ pub use expr::{Cond, Expr, MAX_CONST_MAGNITUDE};
 pub use program::{Instr, Op, Program, Thread, UnrollConfig};
 pub use runtime::{execute, execute_random, ExecOutcome};
 pub use sched::{FirstScheduler, RandomScheduler, Scheduler, ScriptScheduler};
-pub use state::{Action, SysState};
+pub use state::{Action, Hashed, StateSet, SysState};
 pub use trace::{Event, EventKind, Trace, Violation};
 pub use types::{
     CmpOp, DeliveryModel, EndpointAddr, Matching, MsgId, Port, RecvKey, ReqId, ThreadId, Value,

@@ -13,12 +13,11 @@
 
 use crate::program::{Instr, Program, Thread};
 use crate::runtime::{replay, ExecOutcome};
-use crate::state::{Action, SysState};
+use crate::state::{Action, Hashed, StateSet, SysState};
 use crate::trace::EventKind;
 use crate::types::DeliveryModel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// A scheduling policy. `choose` returns the index of the selected action,
@@ -351,7 +350,7 @@ struct DirectedSearch<'a> {
     /// cache sound under normal-form pruning: within one depth, the first
     /// arrival at a node is via the lex-least canonical prefix, and every
     /// canonical completion extends that prefix.
-    visited: HashSet<(SysState, Vec<u16>, usize)>,
+    visited: StateSet<(SysState, Vec<u16>, usize)>,
     cfg: DirectedConfig,
     canon: crate::canon::CanonTracker,
     canonical_skipped: u64,
@@ -378,7 +377,10 @@ impl DirectedSearch<'_> {
             return None;
         }
         let depth = if self.cfg.canonical { actions.len() } else { 0 };
-        if !self.visited.insert((state.clone(), bidx.clone(), depth)) {
+        if !self
+            .visited
+            .insert(Hashed::new((state.clone(), bidx.clone(), depth)))
+        {
             return None;
         }
         if self.visited.len() > self.cfg.max_states
@@ -519,7 +521,7 @@ pub fn execute_directed_with_stats(
         program,
         model,
         plan,
-        visited: HashSet::new(),
+        visited: StateSet::default(),
         cfg,
         canon: crate::canon::CanonTracker::new(model),
         canonical_skipped: 0,

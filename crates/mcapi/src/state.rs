@@ -18,6 +18,116 @@ use crate::program::{Instr, Program};
 use crate::trace::{Event, EventKind, Violation};
 use crate::types::{DeliveryModel, EndpointAddr, MsgId, Port, ThreadId, Value, VarId};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+
+/// A visited set for state-space searches: a standard `HashSet` with the
+/// [`FxHasher`] in place of SipHash, over keys that carry their hash.
+/// Search keys are built from small integers, which SipHash spends most of
+/// a search's hashing time on. Equality compares full keys, so a hash
+/// collision never merges two states.
+pub type StateSet<K> = HashSet<Hashed<K>, BuildHasherDefault<FxHasher>>;
+
+/// A key stored with its hash. Growing a hash set rehashes every key; with
+/// the hash stored, that reads one word per entry instead of walking each
+/// state's heap parts again.
+#[derive(Debug)]
+pub struct Hashed<K> {
+    hash: u64,
+    key: K,
+}
+
+impl<K: Hash> Hashed<K> {
+    pub fn new(key: K) -> Self {
+        let hash = BuildHasherDefault::<FxHasher>::default().hash_one(&key);
+        Hashed { hash, key }
+    }
+}
+
+impl<K> Hashed<K> {
+    pub fn key(&self) -> &K {
+        &self.key
+    }
+}
+
+impl<K> Hash for Hashed<K> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl<K: PartialEq> PartialEq for Hashed<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.key == other.key
+    }
+}
+
+impl<K: Eq> Eq for Hashed<K> {}
+
+/// The multiply-rotate word hasher of the Firefox and rustc hash tables.
+/// Not collision-resistant against chosen keys; states are not chosen by
+/// an adversary, and [`StateSet`] compares full keys anyway.
+#[derive(Clone, Copy, Default)]
+pub struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The last multiply leaves the low bits weakest; the table indexes
+    /// buckets by them, so rotate the strong high bits down.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
 
 /// A message in transit.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
@@ -229,9 +339,9 @@ impl SysState {
         let mut events = Vec::with_capacity(1);
         let tid = action.thread();
         let pc = next.threads[tid].pc;
-        let instr = program.threads[tid].code[pc].clone();
+        let instr = &program.threads[tid].code[pc];
 
-        match (&instr, action) {
+        match (instr, action) {
             (Instr::Send { to, value }, Action::Internal { .. }) => {
                 let v = value.eval(&next.threads[tid].locals);
                 let msg = next.push_message(tid, *to, v, model);
@@ -644,7 +754,6 @@ mod tests {
 
     #[test]
     fn states_hash_canonically_across_interleavings() {
-        use std::collections::HashSet;
         let p = race_program();
         let s0 = SysState::initial(&p);
         // send t1 then t2 vs t2 then t1 — same resulting state (Unordered).
@@ -653,8 +762,23 @@ mod tests {
         let (b2, _) = s0.apply(&p, Action::Internal { thread: 2 }, DeliveryModel::Unordered);
         let (b2, _) = b2.apply(&p, Action::Internal { thread: 1 }, DeliveryModel::Unordered);
         assert_eq!(a, b2);
-        let mut set = HashSet::new();
-        set.insert(a);
-        assert!(set.contains(&b2));
+        let mut set = StateSet::default();
+        set.insert(Hashed::new(a));
+        assert!(set.contains(&Hashed::new(b2)));
+    }
+
+    #[test]
+    fn fx_hasher_separates_nearby_words_and_byte_tails() {
+        let hash = |feed: &dyn Fn(&mut FxHasher)| {
+            let mut h = FxHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        let words: HashSet<u64> = (0u64..1000).map(|i| hash(&|h| h.write_u64(i))).collect();
+        assert_eq!(words.len(), 1000);
+        // A byte tail shorter than a word still moves the hash.
+        let a = hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 9]));
+        let b = hash(&|h| h.write(&[1, 2, 3, 4, 5, 6, 7, 8, 10]));
+        assert_ne!(a, b);
     }
 }

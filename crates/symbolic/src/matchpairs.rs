@@ -16,11 +16,11 @@
 //!   spurious pairs; the checker's validate-and-refine loop (see
 //!   [`crate::checker`]) restores exactness.
 
-use mcapi::program::{Op, Program, Thread};
-use mcapi::state::SysState;
+use mcapi::program::{Instr, Op, Program, Thread};
+use mcapi::state::{Hashed, StateSet, SysState};
 use mcapi::trace::{EventKind, Trace};
 use mcapi::types::{DeliveryModel, EndpointAddr, MsgId, RecvKey, ReqId, VarId};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The `MatchPairs` set and `getSends` map of the paper (Fig. 2), plus
 /// generation cost counters.
@@ -140,35 +140,63 @@ pub fn precise_match_pairs(program: &Program, trace: &Trace, model: DeliveryMode
         generator: "precise-dfs",
         ..Default::default()
     };
-    let mut visited: HashSet<(SysState, Vec<u16>)> = HashSet::new();
-    let init = SysState::initial(&skeleton);
-    let counts = vec![0u16; skeleton.threads.len()];
-    dfs(&skeleton, model, init, counts, &mut visited, &mut pairs);
+    // The skeleton is straight-line, so a thread's pc fixes how many
+    // receives it has completed: the completion index of the receive at
+    // each pc.
+    let recv_index: Vec<Vec<usize>> = skeleton
+        .threads
+        .iter()
+        .map(|t| {
+            t.code
+                .iter()
+                .scan(0, |done, instr| {
+                    let index = *done;
+                    if matches!(instr, Instr::Recv { .. } | Instr::Wait { .. }) {
+                        *done += 1;
+                    }
+                    Some(index)
+                })
+                .collect()
+        })
+        .collect();
+    let mut search = PreciseSearch {
+        skeleton: &skeleton,
+        model,
+        recv_index,
+        visited: StateSet::default(),
+    };
+    search.dfs(Hashed::new(SysState::initial(&skeleton)), &mut pairs);
     pairs
 }
 
-fn dfs(
-    skeleton: &Program,
+struct PreciseSearch<'a> {
+    skeleton: &'a Program,
     model: DeliveryModel,
-    state: SysState,
-    recv_counts: Vec<u16>,
-    visited: &mut HashSet<(SysState, Vec<u16>)>,
-    pairs: &mut MatchPairs,
-) {
-    if !visited.insert((state.clone(), recv_counts.clone())) {
-        return;
-    }
-    pairs.states_explored += 1;
-    for action in state.enabled_actions(skeleton, model) {
-        let mut counts = recv_counts.clone();
-        if let Some(msg) = action.message() {
-            let t = action.thread();
-            let key = RecvKey::new(t, counts[t] as usize);
-            counts[t] += 1;
-            pairs.sends_for.entry(key).or_default().insert(msg);
+    recv_index: Vec<Vec<usize>>,
+    visited: StateSet<SysState>,
+}
+
+impl PreciseSearch<'_> {
+    fn dfs(&mut self, state: Hashed<SysState>, pairs: &mut MatchPairs) {
+        if self.visited.contains(&state) {
+            return;
         }
-        let (next, _) = state.apply(skeleton, action, model);
-        dfs(skeleton, model, next, counts, visited, pairs);
+        pairs.states_explored += 1;
+        let sys = state.key();
+        for action in sys.enabled_actions(self.skeleton, self.model) {
+            if let Some(msg) = action.message() {
+                let t = action.thread();
+                let key = RecvKey::new(t, self.recv_index[t][sys.threads[t].pc]);
+                pairs.sends_for.entry(key).or_default().insert(msg);
+            }
+            let (next, _) = sys.apply(self.skeleton, action, self.model);
+            self.dfs(Hashed::new(next), pairs);
+        }
+        // Every action advances one pc, so the state graph is acyclic and
+        // no descendant can reach `state` again: marking it after its
+        // subtree still visits each state once, and moves it instead of
+        // copying it.
+        self.visited.insert(state);
     }
 }
 

@@ -47,9 +47,10 @@
 //! `--no-session-reuse` (re-encode every scenario from scratch instead
 //! of sharing incremental solver sessions per grid point),
 //! `--no-canonical` (sweep every interleaving instead of one canonical
-//! representative per Mazurkiewicz trace class — the directed searches
-//! behind `symbolic-paths` and the explicit engine's state graph both
-//! honour it; see `mcapi::canon`), `--no-static-triage` (skip the static
+//! representative per Mazurkiewicz trace class in the directed searches
+//! behind `symbolic-paths`; see `mcapi::canon`. The explicit engine's
+//! state graph merges a trace class's interleavings on its own and
+//! ignores the flag), `--no-static-triage` (skip the static
 //! analysis pre-pass: scenarios it can decide soundly are normally
 //! settled with zero engine work, and its branch/payload facts feed the
 //! `symbolic-paths` pruner).
@@ -183,24 +184,14 @@ fn list_programs() {
 fn check_explicit(
     program: &Program,
     delivery: DeliveryModel,
-    canonical: bool,
 ) -> (ExitCode, explicit::ExploreResult) {
     use explicit::{ExploreConfig, GraphExplorer};
-    let cfg = ExploreConfig {
-        use_canonical: canonical,
-        ..ExploreConfig::with_model(delivery)
-    };
-    let r = GraphExplorer::new(program, cfg).explore();
+    let r = GraphExplorer::new(program, ExploreConfig::with_model(delivery)).explore();
     println!(
         "program: {} | delivery: {delivery} | engine: explicit",
         program.name
     );
-    println!(
-        "states: {} | transitions: {} | behaviours: {}",
-        r.states,
-        r.transitions,
-        r.matchings.len()
-    );
+    println!("states: {} | transitions: {}", r.states, r.transitions);
     let code = if r.found_violation() {
         println!("verdict: VIOLATION");
         for v in &r.violations {
@@ -988,7 +979,7 @@ fn main() -> ExitCode {
                         }
                         let (code, result) = {
                             let _lane = tracer.as_ref().map(|t| t.install("main"));
-                            check_explicit(&program, delivery, canonical)
+                            check_explicit(&program, delivery)
                         };
                         let mut out = outcome_shell();
                         fill_explicit_outcome(&mut out, &result);
@@ -1122,8 +1113,8 @@ fn main() -> ExitCode {
                 }
                 "explore" => {
                     use explicit::{ExploreConfig, GraphExplorer};
-                    let r =
-                        GraphExplorer::new(&program, ExploreConfig::with_model(delivery)).explore();
+                    let r = GraphExplorer::new(&program, ExploreConfig::with_matchings(delivery))
+                        .explore();
                     println!(
                         "states: {} | transitions: {} | behaviours: {} | deadlocks: {}",
                         r.states,

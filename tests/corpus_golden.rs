@@ -317,3 +317,30 @@ fn corpus_lint_findings_match_their_expect_lint_headers() {
         );
     }
 }
+
+/// `loop-storm-shrunk.mcapi` through the driver's explicit engine: node
+/// identity is the semantic state alone, so the storm's interleavings
+/// merge and the search settles SAFE in a few thousand states. (With the
+/// matching history and canonical stamps in the node it took 132,845.)
+#[test]
+fn shrunk_storm_is_cheap_for_the_driver_explicit_engine() {
+    use driver::{run_scenario, Engine, PortfolioConfig, ProgramSpec, Scenario, VerdictKind};
+    let text = std::fs::read_to_string(corpus_dir().join("loop-storm-shrunk.mcapi")).unwrap();
+    let program = parse_program(&text).unwrap();
+    let scenario = Scenario::new(
+        ProgramSpec::source("loop-storm-shrunk", program),
+        DeliveryModel::Unordered,
+        Engine::Explicit,
+    );
+    let cfg = PortfolioConfig {
+        static_triage: false,
+        ..PortfolioConfig::default()
+    };
+    let out = run_scenario(&scenario, &cfg);
+    assert_eq!(out.verdict, VerdictKind::Safe, "{}", out.detail);
+    assert!(
+        (1..=10_000).contains(&out.states),
+        "{} states explored",
+        out.states
+    );
+}

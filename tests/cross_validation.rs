@@ -20,7 +20,7 @@ use workloads::{branchy, fig1, pipeline, race, ring, scatter};
 /// Note: the explicit explorer enumerates matchings of *complete passing*
 /// executions; enumerate_matchings asserts PProp positively, which aligns.
 fn assert_matchings_agree(program: &Program, model: DeliveryModel) {
-    let truth = GraphExplorer::new(program, ExploreConfig::with_model(model)).explore();
+    let truth = GraphExplorer::new(program, ExploreConfig::with_matchings(model)).explore();
     assert!(!truth.truncated, "{}: ground truth truncated", program.name);
     for matchgen in [MatchGen::Precise, MatchGen::OverApprox] {
         let cfg = CheckConfig {
@@ -86,7 +86,7 @@ fn race4_unordered_has_24_behaviours() {
     let p = race(4);
     assert_matchings_agree(&p, DeliveryModel::Unordered);
     let truth =
-        GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::Unordered)).explore();
+        GraphExplorer::new(&p, ExploreConfig::with_matchings(DeliveryModel::Unordered)).explore();
     assert_eq!(truth.matchings.len(), 24);
 }
 
@@ -143,7 +143,7 @@ fn branchy_per_trace_slices_union_to_ground_truth() {
     use std::collections::BTreeSet;
     let p = branchy(1);
     let truth =
-        GraphExplorer::new(&p, ExploreConfig::with_model(DeliveryModel::Unordered)).explore();
+        GraphExplorer::new(&p, ExploreConfig::with_matchings(DeliveryModel::Unordered)).explore();
 
     let mut seen_outcomes = BTreeSet::new();
     let mut union = BTreeSet::new();

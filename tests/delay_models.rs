@@ -13,7 +13,7 @@ fn behaviours(
     p: &mcapi::Program,
     model: DeliveryModel,
 ) -> std::collections::BTreeSet<mcapi::Matching> {
-    GraphExplorer::new(p, ExploreConfig::with_model(model))
+    GraphExplorer::new(p, ExploreConfig::with_matchings(model))
         .explore()
         .matchings
 }
